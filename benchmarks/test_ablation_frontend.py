@@ -1,8 +1,8 @@
-"""Ablation: event-loop front end vs thread-per-connection at scale.
+"""Ablation: the event-loop front end under a growing connection count.
 
-PR 2's thread-per-connection server spends an OS thread (and a tiny
-listen backlog) per socket, so connection count — not offered load — is
-what breaks it: a burst of a thousand concurrent clients overflows the
+A thread-per-connection server spends an OS thread (and a tiny listen
+backlog) per socket, so connection count — not offered load — is what
+breaks it: a burst of a thousand concurrent clients overflows the
 accept queue and the thread scheduler long before the serving engine's
 queues fill. The event loop (`repro.frontend.eventloop`) multiplexes
 every connection onto one selector thread, decoupling intake capacity
@@ -13,26 +13,23 @@ single multiplexed generator pacing requests on a wall-clock schedule)
 and sweeps how many pipelined connections that load is spread across:
 16 -> 256 -> 1024 -> 2048. If the front end is connection-scalable, the
 latency distribution should not care; p99 stays flat. A closed-loop run
-at 16 connections additionally checks the event loop gives up no
-meaningful throughput where the threaded design is comfortable.
+at 16 connections records the event loop's throughput.
 
-Shape assertions:
+Shape assertions (event loop): every connection at the top rung is
+established and served (nothing refused/lost) and p99 stays within 2x
+of the 16-connection baseline (+5 ms of slack for scheduler noise).
 
-* event loop: every connection at the top rung is established and
-  served (nothing refused/lost) and p99 stays within 2x of the
-  16-connection baseline (+5 ms of slack for scheduler noise);
-* threaded: at the 1024+ rungs it visibly breaks — connections miss the
-  establish deadline, requests go unanswered, or p99 blows past 4x its
-  own baseline;
-* throughput at 16 connections: event loop >= 0.9x threaded.
+The thread-per-connection server has been removed. Its last recorded
+sweep and closed-loop throughput stay in ``BENCH_frontend.json`` under
+``threaded_before_removal``; reruns carry that block forward unchanged.
 
-Set ``FRONTEND_SMOKE=1`` for the fast CI configuration (16 -> 256 only;
-the threaded-collapse assertion needs the big rungs and is skipped).
+Set ``FRONTEND_SMOKE=1`` for the fast CI configuration (16 -> 256 only).
 """
 
 from __future__ import annotations
 
 import errno
+import json
 import os
 import pathlib
 import selectors
@@ -49,6 +46,9 @@ from conftest import build_mf_serving, write_result
 
 SMOKE = os.environ.get("FRONTEND_SMOKE", "") not in ("", "0")
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+BENCH_PATH = REPO_ROOT / "BENCH_frontend.json"
+#: Recorded results of the removed thread-per-connection server.
+HISTORY_KEY = "threaded_before_removal"
 
 DIMENSION = 34
 NUM_ITEMS = 1000
@@ -65,7 +65,7 @@ CLOSED_LOOP_REQUESTS = 800 if SMOKE else 3000
 CLOSED_LOOP_WINDOW = 4
 
 
-def _stack(frontend: str) -> VeloxServer:
+def _stack() -> VeloxServer:
     velox = build_mf_serving(
         DIMENSION, NUM_ITEMS, num_users=NUM_USERS, num_nodes=1
     )
@@ -79,7 +79,7 @@ def _stack(frontend: str) -> VeloxServer:
             slo_p99=0.1,
         )
     )
-    return VeloxServer(velox, engine=engine, frontend=frontend)
+    return VeloxServer(velox, engine=engine)
 
 
 # -- multiplexed load generator ---------------------------------------------
@@ -354,10 +354,10 @@ def _close_all(socks: list[socket.socket]) -> None:
             pass
 
 
-def _sweep(frontend: str) -> list[dict]:
+def _sweep() -> list[dict]:
     rows = []
     for clients in RUNGS:
-        with _stack(frontend) as server:
+        with _stack() as server:
             socks, refused, establish_s = _establish(
                 server.host, server.port, clients, CONNECT_DEADLINE
             )
@@ -375,7 +375,6 @@ def _sweep(frontend: str) -> list[dict]:
             _close_all(socks)
             rows.append(
                 {
-                    "frontend": frontend,
                     "clients": clients,
                     "established": len(socks),
                     "refused": refused,
@@ -386,12 +385,12 @@ def _sweep(frontend: str) -> list[dict]:
     return rows
 
 
-def _throughput16(frontend: str) -> dict:
-    with _stack(frontend) as server:
+def _throughput16() -> dict:
+    with _stack() as server:
         socks, refused, _ = _establish(
             server.host, server.port, 16, CONNECT_DEADLINE
         )
-        assert refused == 0, f"{frontend}: refused at 16 connections"
+        assert refused == 0, "refused at 16 connections"
         result = _closed_loop(
             socks, CLOSED_LOOP_WINDOW, CLOSED_LOOP_REQUESTS, seed=99
         )
@@ -399,56 +398,58 @@ def _throughput16(frontend: str) -> dict:
     return result
 
 
+def _threaded_history() -> dict | None:
+    """The removed threaded server's block from the recorded summary."""
+    try:
+        return json.loads(BENCH_PATH.read_text()).get(HISTORY_KEY)
+    except (OSError, ValueError):
+        return None
+
+
 def test_frontend_summary(benchmark):
-    sweeps = {frontend: _sweep(frontend) for frontend in ("eventloop", "threaded")}
-    throughput = {
-        frontend: _throughput16(frontend)
-        for frontend in ("eventloop", "threaded")
-    }
+    sweep = _sweep()
+    throughput = _throughput16()
 
     lines = [
         f"== open loop: fixed {RATE:.0f} rps aggregate, "
         f"{OPEN_LOOP_REQUESTS} predicts, client-count sweep =="
     ]
     lines.append(
-        "frontend   clients  established  refused  establish_s  "
+        "clients  established  refused  establish_s  "
         "answered  lost  p50_ms   p99_ms"
     )
-    for frontend, rows in sweeps.items():
-        for row in rows:
-            lines.append(
-                f"{frontend:<11}{row['clients']:<9d}{row['established']:<13d}"
-                f"{row['refused']:<9d}{row['establish_s']:<13.2f}"
-                f"{row['answered']:<10d}{row['lost']:<6d}"
-                f"{row['p50_ms']:<9.2f}{row['p99_ms']:.2f}"
-            )
+    for row in sweep:
+        lines.append(
+            f"{row['clients']:<9d}{row['established']:<13d}"
+            f"{row['refused']:<9d}{row['establish_s']:<13.2f}"
+            f"{row['answered']:<10d}{row['lost']:<6d}"
+            f"{row['p50_ms']:<9.2f}{row['p99_ms']:.2f}"
+        )
     lines.append("")
     lines.append(
         f"== closed loop: 16 connections x window {CLOSED_LOOP_WINDOW}, "
         f"{CLOSED_LOOP_REQUESTS} predicts =="
     )
-    lines.append("frontend   throughput_rps  completed  errors")
-    for frontend, row in throughput.items():
-        lines.append(
-            f"{frontend:<11}{row['throughput_rps']:<16.1f}"
-            f"{row['completed']:<11d}{row['errors']:d}"
-        )
-    write_result("ablation_frontend", lines)
-    write_json_summary(
-        REPO_ROOT / "BENCH_frontend.json",
-        "ablation_frontend",
-        {
-            "smoke": SMOKE,
-            "rate_rps": RATE,
-            "open_loop_requests": OPEN_LOOP_REQUESTS,
-            "rungs": RUNGS,
-            "sweep": sweeps,
-            "throughput_16_clients": throughput,
-        },
+    lines.append("throughput_rps  completed  errors")
+    lines.append(
+        f"{throughput['throughput_rps']:<16.1f}"
+        f"{throughput['completed']:<11d}{throughput['errors']:d}"
     )
+    write_result("ablation_frontend", lines)
+    summary = {
+        "smoke": SMOKE,
+        "rate_rps": RATE,
+        "open_loop_requests": OPEN_LOOP_REQUESTS,
+        "rungs": RUNGS,
+        "sweep": sweep,
+        "throughput_16_clients": throughput,
+    }
+    history = _threaded_history()
+    if history is not None:
+        summary[HISTORY_KEY] = history
+    write_json_summary(BENCH_PATH, "ablation_frontend", summary)
 
-    ev = {row["clients"]: row for row in sweeps["eventloop"]}
-    th = {row["clients"]: row for row in sweeps["threaded"]}
+    ev = {row["clients"]: row for row in sweep}
     ev_base, ev_top = ev[RUNGS[0]], ev[RUNGS[-1]]
 
     # The tentpole claim: the event loop serves every client at the top
@@ -458,23 +459,4 @@ def test_frontend_summary(benchmark):
     assert ev_top["p99_ms"] <= max(
         2.0 * ev_base["p99_ms"], ev_base["p99_ms"] + 5.0
     ), f"event loop p99 not flat: base={ev_base} top={ev_top}"
-
-    # The event loop gives up no meaningful throughput at a connection
-    # count where thread-per-connection is comfortable.
-    ev_rps = throughput["eventloop"]["throughput_rps"]
-    th_rps = throughput["threaded"]["throughput_rps"]
-    assert ev_rps >= 0.9 * th_rps, f"eventloop {ev_rps:.0f} vs threaded {th_rps:.0f}"
-
-    # The threaded design visibly breaks at the big rungs: refused
-    # connections, unanswered requests, or a p99 blow-up.
-    if RUNGS[-1] >= 1024:
-        th_top, th_base = th[RUNGS[-1]], th[RUNGS[0]]
-        degraded = (
-            th_top["answered"] == 0
-            or not np.isfinite(th_top["p99_ms"])
-            or th_top["p99_ms"] > 4.0 * th_base["p99_ms"]
-        )
-        assert th_top["refused"] > 0 or th_top["lost"] > 0 or degraded, (
-            f"threaded survived the top rung: base={th_base} top={th_top}"
-        )
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)

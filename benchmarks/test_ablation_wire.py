@@ -10,9 +10,10 @@ the binary framed protocol (`repro.frontend.wire`):
   representative requests/responses, JSON-lines vs struct-packed binary
   (ndarray payloads as raw dtype/shape/bytes).
 * **Transport throughput** — closed-loop predict throughput against the
-  same engine-backed server: a serial JSON-lines client (one in-flight
-  request) vs the pipelined binary client at 1/4/16 in-flight requests
-  on one socket.
+  same engine-backed server: a serial JSON-lines client
+  (``PipelinedClient(prefer_binary=False)``, one blocking ``call`` at a
+  time) vs the pipelined binary client at 1/4/16 in-flight requests on
+  one socket.
 
 Shape assertions: binary beats JSON on codec time for feature-vector
 payloads, and the pipelined binary path at 16 in-flight beats the serial
@@ -33,7 +34,6 @@ import numpy as np
 from repro.frontend import (
     PipelinedClient,
     PredictApiRequest,
-    RemoteClient,
     TopKApiRequest,
     VeloxServer,
     decode_request,
@@ -172,7 +172,10 @@ def _serving_stack():
 def run_serial_json(plan) -> dict:
     server, engine = _serving_stack()
     with server:
-        with RemoteClient(server.host, server.port, timeout=30) as client:
+        with PipelinedClient(
+            server.host, server.port, timeout=30, prefer_binary=False
+        ) as client:
+            assert client.protocol == "json"
             start = time.perf_counter()
             for uid, item in plan:
                 response = client.call(PredictApiRequest(uid=uid, item=item))

@@ -185,8 +185,9 @@ class ModelManager:
         self._retraining = False
         self._async_retraining: set[str] = set()
         # Serializes the read-modify-write of user state and the model
-        # swap: the front-end server is threaded, and two concurrent
-        # observes for the same user must not lose an update. Predictions
+        # swap: the front end and in-process callers observe from
+        # different threads, and two concurrent observes for the same
+        # user must not lose an update. Predictions
         # stay lock-free (they only read).
         self._write_lock = RLock()
 

@@ -10,15 +10,12 @@ provides the equivalent for the reproduction:
   negotiated on connect with JSON-lines as the universal fallback,
 * :class:`VeloxClient` — an in-process client binding the API objects
   to a deployed :class:`~repro.core.velox.Velox` instance,
-* :class:`VeloxServer` / :class:`RemoteClient` — a TCP server speaking
-  both protocols behind a front-end knob (``"eventloop"`` selector
-  server or ``"threaded"`` thread-per-connection fallback), and the
-  simple one-in-flight JSON client,
-* :class:`EventLoopServer` — the selector-based front end itself, for
-  callers that need its tuning knobs (watermarks, frame limits),
-* :class:`PipelinedClient` / :class:`ConnectionPool` — the binary
-  pipelined client (many in-flight correlated requests per socket) and
-  a small round-robin pool of them,
+* :class:`VeloxServer` — the TCP server: one selector thread serving
+  both negotiated protocols on every connection,
+* :class:`PipelinedClient` / :class:`ConnectionPool` — the socket
+  client (many in-flight requests per socket, binary by default,
+  JSON-lines with ``prefer_binary=False``) and a small round-robin
+  pool of them,
 * :class:`ResilientClient` — the policy stack on top of pooled
   connections: retries under a token budget, hedged reads, per-endpoint
   circuit breaking, and the degradation ladder.
@@ -40,7 +37,7 @@ from repro.frontend.api import (
     decode_response,
 )
 from repro.frontend.client import VeloxClient
-from repro.frontend.eventloop import EventLoopServer
+from repro.frontend.eventloop import VeloxServer
 from repro.frontend.pipelined import ConnectionPool, PipelinedClient
 from repro.frontend.resilient import (
     CircuitBreaker,
@@ -49,7 +46,6 @@ from repro.frontend.resilient import (
     RetryBudget,
     RetryPolicy,
 )
-from repro.frontend.server import FRONTENDS, VeloxServer, RemoteClient
 
 __all__ = [
     "PredictApiRequest",
@@ -67,9 +63,6 @@ __all__ = [
     "decode_response",
     "VeloxClient",
     "VeloxServer",
-    "EventLoopServer",
-    "FRONTENDS",
-    "RemoteClient",
     "PipelinedClient",
     "ConnectionPool",
     "ResilientClient",

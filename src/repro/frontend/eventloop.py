@@ -1,12 +1,9 @@
-"""Single-threaded event-loop TCP front end: C10k-scale connection intake.
+"""The TCP front end: one selector thread serving every connection.
 
-The threaded server (:mod:`repro.frontend.server`) spends one OS thread
-per connection, so its capacity is bounded by thread spawn cost, stack
-memory, and scheduler churn long before the serving engine's queues
-saturate — a few hundred sockets is where it stops holding tail
-latency. This module decouples connection count from thread count the
+:class:`VeloxServer` decouples connection count from thread count the
 way Clipper and InferLine's front ends do: one thread, one
-``selectors`` loop, and per-connection state machines.
+``selectors`` loop, and per-connection state machines, so thousands of
+sockets cost buffers rather than OS threads.
 
 Design:
 
@@ -16,13 +13,13 @@ Design:
   reassembler (:class:`~repro.frontend.wire.FrameDecoder` for binary,
   a line splitter for JSON), so a slow-loris client trickling one byte
   per call costs one buffer append, not a parked thread.
-* **Same protocols, same negotiation.** A connection opening with the
+* **Two negotiated protocols.** A connection opening with the
   :data:`~repro.frontend.wire.HELLO` preamble is answered in kind and
   switched to correlated binary frames; anything else is served
   JSON-lines, strictly in order (a FIFO of response futures preserves
   the line protocol's ordering even though dispatch is asynchronous).
-  Existing clients — :class:`~repro.frontend.server.RemoteClient` and
-  :class:`~repro.frontend.pipelined.PipelinedClient` — work unmodified.
+  :class:`~repro.frontend.pipelined.PipelinedClient` speaks either
+  (``prefer_binary=False`` selects JSON-lines).
 * **Engine-coupled dispatch.** Decoded requests enter the serving
   engine through :meth:`VeloxClient.dispatch_async`, stamped with the
   loop's ``recv`` time so admission control's age-bound shedding sees
@@ -44,8 +41,7 @@ Design:
   :class:`~repro.common.errors.TransportError` on its pending futures.
 
 Control-plane requests without an engine path (status, retrain,
-observe) execute inline on the loop thread, exactly as they execute
-inline on a connection thread in the threaded server; the hot path —
+observe) execute inline on the loop thread; the hot path —
 predict/top-k with an engine attached — never blocks the loop.
 """
 
@@ -131,21 +127,24 @@ class _Connection:
         self.stalled = False
 
 
-class EventLoopServer:
-    """Event-loop TCP server over a Velox deployment.
+class VeloxServer:
+    """Serves a Velox deployment on a TCP port.
 
-    Usually constructed through :class:`~repro.frontend.server.VeloxServer`
-    (which selects the front end from ``VeloxConfig.frontend``); direct
-    construction exposes the backpressure watermarks and frame-size cap
-    for tests and tuning::
+    Usage::
 
-        server = EventLoopServer(velox, engine=engine, high_water=1 << 20)
+        server = VeloxServer(velox, port=0)   # 0 = ephemeral port
         server.start()
-        ... PipelinedClient(*server.server_address) ...
+        ... PipelinedClient(server.host, server.port) ...
         server.stop()
-    """
 
-    kind = "eventloop"
+    With ``engine`` set to a :class:`~repro.serving.ServingEngine`,
+    predict/top-k requests are enqueued through the serving engine
+    (adaptive batching across connections, admission control, load
+    shedding) instead of dispatched inline; the engine's lifecycle
+    follows the server's. ``high_water``/``low_water`` are the
+    backpressure watermarks and ``max_frame_bytes`` caps one binary
+    frame or JSON line.
+    """
 
     def __init__(
         self,
@@ -170,8 +169,9 @@ class EventLoopServer:
         )
         self._sndbuf = sndbuf
         self.velox_client = VeloxClient(velox, engine=engine)
-        self.counters = FrontendCounters(self.kind)
+        self.counters = FrontendCounters()
         self.velox_client.frontend_status = self.counters.snapshot
+        self._engine = engine
         self._clock = engine.clock if engine is not None else None
 
         self._listen = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -202,16 +202,24 @@ class EventLoopServer:
     # -- lifecycle ------------------------------------------------------------
 
     @property
-    def server_address(self) -> tuple:
-        """Bound (host, port)."""
-        return self._listen.getsockname()
+    def host(self) -> str:
+        """Bound host address."""
+        return self._listen.getsockname()[0]
 
-    def start(self) -> "EventLoopServer":
-        """Start the loop thread; returns self."""
+    @property
+    def port(self) -> int:
+        """Bound port (useful with port 0 / ephemeral binding)."""
+        return self._listen.getsockname()[1]
+
+    def start(self) -> "VeloxServer":
+        """Start the loop thread, and an attached engine that is not yet
+        running; returns self."""
         if self._thread is not None:
             raise ValidationError("server already started")
         if self._closed:
             raise ValidationError("server already stopped")
+        if self._engine is not None and not self._engine.running:
+            self._engine.start()
         self._thread = threading.Thread(
             target=self._run, name="velox-eventloop", daemon=True
         )
@@ -219,7 +227,9 @@ class EventLoopServer:
         return self
 
     def stop(self) -> None:
-        """Stop the loop and release every fd (idempotent).
+        """Stop the loop and any attached engine, and release every fd
+        (idempotent). A server that never started only releases its
+        listener.
 
         Connections with unsent responses or in-flight dispatches are
         closed outright: their engine futures complete into a closed
@@ -233,6 +243,8 @@ class EventLoopServer:
         self._wake()
         self._thread.join(timeout=5)
         self._thread = None
+        if self._engine is not None:
+            self._engine.stop()
 
     def _wake(self) -> None:
         try:
@@ -375,8 +387,7 @@ class EventLoopServer:
                 self._consume(conn, chunk)
             except Exception:
                 # Corrupt framing / oversized line: the stream is
-                # unrecoverable; drop the connection like the threaded
-                # server's read loop does.
+                # unrecoverable; drop the connection.
                 self.counters.protocol_error()
                 self._close(conn)
                 return
@@ -477,8 +488,8 @@ class EventLoopServer:
             try:
                 request = decode_request(line)
             except ValidationError as err:
-                # Mirrors the threaded JSON loop: validation failures
-                # become bare-message envelopes on the same connection.
+                # Validation failures become bare-message envelopes on
+                # the same connection.
                 future = VeloxClient._completed(
                     ApiResponse(ok=False, error=str(err))
                 )
@@ -674,7 +685,7 @@ class EventLoopServer:
         conn.json_fifo.clear()
         self.counters.connection_closed()
 
-    def __enter__(self) -> "EventLoopServer":
+    def __enter__(self) -> "VeloxServer":
         return self.start()
 
     def __exit__(self, exc_type, exc, tb) -> None:

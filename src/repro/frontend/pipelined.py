@@ -1,20 +1,20 @@
 """Pipelined socket client: many in-flight requests per connection.
 
-:class:`RemoteClient` sends one request and blocks for its response, so
-a connection's throughput is bounded by one round trip per request and a
-server-side adaptive batcher only ever sees batches of one from it.
-:class:`PipelinedClient` keeps a window of correlated requests in flight
-on a single socket: ``submit`` frames and sends immediately and returns
-a future; a reader thread completes futures as response frames arrive
-(out of order is fine — the correlation id routes them). A small
-:class:`ConnectionPool` spreads submissions across several pipelined
-connections for multi-connection load generators.
+:class:`PipelinedClient` keeps a window of correlated requests in
+flight on a single socket: ``submit`` frames and sends immediately and
+returns a future; a reader thread completes futures as response frames
+arrive (out of order is fine — the correlation id routes them), so a
+server-side adaptive batcher can form batches from one connection. A
+small :class:`ConnectionPool` spreads submissions across several
+pipelined connections for multi-connection load generators.
 
 Both classes negotiate the binary framed protocol on connect and fall
-back to JSON-lines transparently when the server predates it; in the
-fallback, responses arrive strictly in order, so futures are matched
-FIFO instead of by correlation id. Transport failures (timeouts,
-connection loss, truncated frames) surface as
+back to JSON-lines transparently when the server answers the hello
+with a JSON envelope; ``prefer_binary=False`` skips the offer and
+speaks JSON-lines from the start. In JSON-lines mode responses arrive
+strictly in order, so futures are matched FIFO instead of by
+correlation id. Transport failures (timeouts, connection loss,
+truncated frames) surface as
 :class:`~repro.common.errors.TransportError` with the connection closed
 and every pending future failed — nothing blocks forever on a dead
 socket.

@@ -1,14 +1,13 @@
 """Front-end transport counters, exported by the status endpoint.
 
-Both TCP front ends (the event-loop server and the threaded fallback)
-feed one :class:`FrontendCounters` instance and publish its snapshot
-under the ``"frontend"`` key of the status response, so operators can
+The TCP front end (:class:`~repro.frontend.VeloxServer`) feeds one
+:class:`FrontendCounters` instance and publishes its snapshot under the ``"frontend"`` key of the status response, so operators can
 see transport-level pressure — open sockets, bytes in/out, read-paused
 (backpressured) connections, and in-flight dispatch depth — next to the
 serving engine's queue metrics.
 
-The event-loop server mutates these from a single thread; the threaded
-server from many. A lock keeps the counters exact either way (the
+The server's loop thread mutates these while status requests read them
+from other threads; a lock keeps every snapshot consistent (the
 per-call cost is one uncontended lock acquire, far below a syscall).
 """
 
@@ -25,8 +24,7 @@ class FrontendCounters:
     plain dict safe to serialize over either wire codec.
     """
 
-    def __init__(self, kind: str):
-        self.kind = kind
+    def __init__(self):
         self._lock = threading.Lock()
         # gauges
         self.open_connections = 0
@@ -108,7 +106,6 @@ class FrontendCounters:
         """Point-in-time copy of every counter (JSON-serializable)."""
         with self._lock:
             return {
-                "kind": self.kind,
                 "open_connections": self.open_connections,
                 "total_connections": self.total_connections,
                 "bytes_in": self.bytes_in,

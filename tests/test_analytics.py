@@ -20,7 +20,7 @@ from repro.analytics import (
     execute_scan,
 )
 from repro.common.errors import ConfigError, StorageError, ValidationError
-from repro.frontend import AnalyticsApiRequest, PipelinedClient, RemoteClient, VeloxServer
+from repro.frontend import AnalyticsApiRequest, PipelinedClient, VeloxServer
 from repro.frontend.client import VeloxClient
 from repro.store import Observation, ObservationLog, VeloxStore
 
@@ -479,7 +479,9 @@ class TestFrontend:
                 response = binary.analytics(uid=2, agg="count")
                 assert response.ok, response.error
                 assert response.payload["plan"]["route"] == "mv:user"
-            with RemoteClient(server.host, server.port) as json_client:
+            with PipelinedClient(
+                server.host, server.port, prefer_binary=False
+            ) as json_client:
                 response_json = json_client.call(
                     AnalyticsApiRequest(uid=2, agg="count")
                 )

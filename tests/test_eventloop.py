@@ -1,6 +1,6 @@
-"""Event-loop front end: selection knob, framing robustness under
-hostile clients, write-side backpressure, clean teardown, and the
-pipelined client's in-flight window."""
+"""Event-loop front end: framing robustness under hostile clients,
+write-side backpressure, clean teardown, and the pipelined client's
+in-flight window."""
 
 from __future__ import annotations
 
@@ -14,29 +14,21 @@ from concurrent.futures import Future
 
 import pytest
 
-from repro import VeloxConfig
 from repro.common.errors import (
-    ConfigError,
     OverloadedError,
     TransportError,
     ValidationError,
 )
 from repro.frontend import (
-    EventLoopServer,
     PipelinedClient,
     PredictApiRequest,
-    RemoteClient,
     StatusApiRequest,
     VeloxServer,
     encode_request,
 )
 from repro.frontend import wire
 from repro.frontend.api import decode_response
-from repro.frontend.eventloop import EventLoopServer as _DirectEventLoop
-from repro.frontend.server import _ThreadedFrontend
 from repro.serving import ServingConfig
-
-BOTH_FRONTENDS = pytest.mark.parametrize("frontend", ["eventloop", "threaded"])
 
 
 def _read_hello(sock: socket.socket) -> None:
@@ -59,49 +51,16 @@ def _poll(predicate, timeout: float = 5.0, interval: float = 0.01) -> bool:
 
 
 class TestFrontendSelection:
-    def test_config_rejects_unknown_frontend(self):
-        with pytest.raises(ConfigError, match="frontend"):
-            VeloxConfig(frontend="carrier-pigeon")
-
-    def test_config_accepts_both_frontends(self):
-        assert VeloxConfig(frontend="threaded").frontend == "threaded"
-        assert VeloxConfig().frontend == "eventloop"  # the default
-
-    def test_facade_selects_implementation(self, deployed_velox):
-        ev = VeloxServer(deployed_velox, frontend="eventloop")
-        th = VeloxServer(deployed_velox, frontend="threaded")
-        try:
-            assert isinstance(ev._server, EventLoopServer)
-            assert isinstance(th._server, _ThreadedFrontend)
-            assert ev.frontend == "eventloop"
-            assert th.frontend == "threaded"
-        finally:
-            ev.stop()
-            th.stop()
-
-    def test_facade_defaults_to_config_knob(self, deployed_velox):
-        # deployed_velox uses the default config => eventloop.
-        server = VeloxServer(deployed_velox)
-        try:
-            assert isinstance(server._server, EventLoopServer)
-        finally:
-            server.stop()
-
-    def test_facade_rejects_unknown_frontend(self, deployed_velox):
-        with pytest.raises(ValidationError, match="frontend"):
-            VeloxServer(deployed_velox, frontend="smoke-signals")
-
     def test_eventloop_rejects_bad_watermarks(self, deployed_velox):
         with pytest.raises(ValidationError, match="watermark"):
-            EventLoopServer(deployed_velox, high_water=100, low_water=100)
+            VeloxServer(deployed_velox, high_water=100, low_water=100)
 
 
 class TestSlowAndHostileClients:
-    @BOTH_FRONTENDS
-    def test_byte_at_a_time_binary_request(self, deployed_velox, frontend):
+    def test_byte_at_a_time_binary_request(self, deployed_velox):
         """A slow-loris client trickling one byte per send still gets a
-        correct response: both servers reassemble incrementally."""
-        with VeloxServer(deployed_velox, frontend=frontend) as server:
+        correct response: the server reassembles incrementally."""
+        with VeloxServer(deployed_velox) as server:
             sock = socket.create_connection((server.host, server.port), timeout=10)
             try:
                 request = wire.encode_request_frame(
@@ -124,9 +83,8 @@ class TestSlowAndHostileClients:
             finally:
                 sock.close()
 
-    @BOTH_FRONTENDS
-    def test_byte_at_a_time_json_request(self, deployed_velox, frontend):
-        with VeloxServer(deployed_velox, frontend=frontend) as server:
+    def test_byte_at_a_time_json_request(self, deployed_velox):
+        with VeloxServer(deployed_velox) as server:
             sock = socket.create_connection((server.host, server.port), timeout=10)
             try:
                 line = (
@@ -142,11 +100,10 @@ class TestSlowAndHostileClients:
             finally:
                 sock.close()
 
-    @BOTH_FRONTENDS
-    def test_mid_frame_disconnect_does_not_wedge(self, deployed_velox, frontend):
+    def test_mid_frame_disconnect_does_not_wedge(self, deployed_velox):
         """A client dying mid-frame must not wedge the server: later
         connections are served normally."""
-        with VeloxServer(deployed_velox, frontend=frontend) as server:
+        with VeloxServer(deployed_velox) as server:
             sock = socket.create_connection((server.host, server.port), timeout=10)
             sock.sendall(wire.HELLO)
             _read_hello(sock)
@@ -158,13 +115,10 @@ class TestSlowAndHostileClients:
                 response = client.call(PredictApiRequest(uid=1, item=2))
                 assert response.ok, response.error
 
-    @BOTH_FRONTENDS
-    def test_oversized_frame_rejected_before_allocation(
-        self, deployed_velox, frontend
-    ):
+    def test_oversized_frame_rejected_before_allocation(self, deployed_velox):
         """A hostile length prefix drops the connection with a typed
         error, and the server keeps serving everyone else."""
-        with VeloxServer(deployed_velox, frontend=frontend) as server:
+        with VeloxServer(deployed_velox) as server:
             sock = socket.create_connection((server.host, server.port), timeout=10)
             sock.sendall(wire.HELLO)
             _read_hello(sock)
@@ -190,7 +144,7 @@ class TestEventLoopServing:
             item: deployed_velox.service.predict("songs", 3, item).score
             for item in range(40)
         }
-        with VeloxServer(deployed_velox, engine=engine, frontend="eventloop") as server:
+        with VeloxServer(deployed_velox, engine=engine) as server:
             with PipelinedClient(server.host, server.port) as client:
                 assert client.protocol == "binary"
                 futures = {
@@ -211,7 +165,7 @@ class TestEventLoopServing:
         engine = deployed_velox.serving_engine(
             ServingConfig(num_workers=2, batching="adaptive", slo_p99=1.0)
         )
-        with VeloxServer(deployed_velox, engine=engine, frontend="eventloop") as server:
+        with VeloxServer(deployed_velox, engine=engine) as server:
             sock = socket.create_connection((server.host, server.port), timeout=10)
             try:
                 items = list(range(12))
@@ -229,26 +183,28 @@ class TestEventLoopServing:
                 sock.close()
 
     def test_status_exposes_frontend_counters(self, deployed_velox):
-        with VeloxServer(deployed_velox, frontend="eventloop") as server:
+        with VeloxServer(deployed_velox) as server:
             with PipelinedClient(server.host, server.port) as client:
                 payload = client.call(StatusApiRequest()).payload
                 counters = payload["frontend"]
-                assert counters["kind"] == "eventloop"
                 assert counters["open_connections"] >= 1
                 assert counters["frames_in"] >= 1
                 assert counters["bytes_in"] > 0
                 assert counters["bytes_out"] > 0
                 assert counters["read_paused"] == 0
-        with VeloxServer(deployed_velox, frontend="threaded") as server:
-            with RemoteClient(server.host, server.port) as client:
+            with PipelinedClient(
+                server.host, server.port, prefer_binary=False
+            ) as client:
                 counters = client.call(StatusApiRequest()).payload["frontend"]
-                assert counters["kind"] == "threaded"
                 assert counters["open_connections"] >= 1
                 assert counters["json_requests"] >= 1
 
     def test_remote_client_against_eventloop(self, deployed_velox):
-        with VeloxServer(deployed_velox, frontend="eventloop") as server:
-            with RemoteClient(server.host, server.port) as client:
+        with VeloxServer(deployed_velox) as server:
+            with PipelinedClient(
+                server.host, server.port, prefer_binary=False
+            ) as client:
+                assert client.protocol == "json"
                 response = client.call(PredictApiRequest(uid=4, item=7))
                 assert response.ok, response.error
                 assert response.payload["item"] == 7
@@ -258,13 +214,13 @@ class TestBackpressure:
     def test_write_pressure_pauses_and_resumes_reads(self, deployed_velox):
         """A client that sends but never reads must trip the high-water
         pause (visible in counters) and resume once it drains."""
-        server = _DirectEventLoop(
+        server = VeloxServer(
             deployed_velox,
             high_water=32 * 1024,
             low_water=4 * 1024,
             sndbuf=8 * 1024,
         ).start()
-        host, port = server.server_address
+        host, port = server.host, server.port
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 8 * 1024)
         try:
@@ -305,7 +261,7 @@ class TestTeardown:
         flat: listener, wake pipe, selector, and conns all released."""
 
         def cycle() -> None:
-            with VeloxServer(deployed_velox, frontend="eventloop") as server:
+            with VeloxServer(deployed_velox) as server:
                 with PipelinedClient(server.host, server.port) as client:
                     assert client.call(PredictApiRequest(uid=1, item=2)).ok
 
@@ -319,9 +275,9 @@ class TestTeardown:
     def test_stop_fails_pending_client_futures(self, deployed_velox):
         """Stopping the server mid-flight surfaces TransportError on the
         client's pending futures instead of hanging them."""
-        server = VeloxServer(deployed_velox, frontend="eventloop").start()
+        server = VeloxServer(deployed_velox).start()
         stuck: Future = Future()  # never completes
-        server._server.velox_client.dispatch_async = (
+        server.velox_client.dispatch_async = (
             lambda request, enqueue_time=None: stuck
         )
         client = PipelinedClient(server.host, server.port)
@@ -337,8 +293,7 @@ class TestTeardown:
     def test_stop_before_start_releases_listener(self, deployed_velox):
         before = len(os.listdir("/proc/self/fd"))
         for _ in range(3):
-            VeloxServer(deployed_velox, frontend="eventloop").stop()
-            VeloxServer(deployed_velox, frontend="threaded").stop()
+            VeloxServer(deployed_velox).stop()
         after = len(os.listdir("/proc/self/fd"))
         assert after <= before + 2
 
@@ -427,7 +382,7 @@ class TestMaxInflight:
     def test_blocking_window_paces_against_live_server(self, deployed_velox):
         """With a responsive server the window never exceeds the cap and
         every submission eventually lands."""
-        with VeloxServer(deployed_velox, frontend="eventloop") as server:
+        with VeloxServer(deployed_velox) as server:
             with PipelinedClient(
                 server.host, server.port, max_inflight=4
             ) as client:

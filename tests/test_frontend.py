@@ -8,8 +8,8 @@ from repro.frontend import (
     ApiResponse,
     HealthApiRequest,
     ObserveApiRequest,
+    PipelinedClient,
     PredictApiRequest,
-    RemoteClient,
     RetrainApiRequest,
     TopKApiRequest,
     VeloxClient,
@@ -141,7 +141,9 @@ class TestNewEndpoints:
         from repro.frontend import StatusApiRequest
 
         with VeloxServer(deployed_velox) as server:
-            with RemoteClient(server.host, server.port) as client:
+            with PipelinedClient(
+                server.host, server.port, prefer_binary=False
+            ) as client:
                 response = client.call(StatusApiRequest())
                 assert response.ok
                 assert response.payload["alive_nodes"] == 2
@@ -150,7 +152,9 @@ class TestNewEndpoints:
 class TestTcpServer:
     def test_full_request_cycle_over_socket(self, deployed_velox):
         with VeloxServer(deployed_velox) as server:
-            with RemoteClient(server.host, server.port) as client:
+            with PipelinedClient(
+                server.host, server.port, prefer_binary=False
+            ) as client:
                 response = client.call(PredictApiRequest(uid=2, item=8))
                 assert response.ok
                 response = client.call(
@@ -168,7 +172,9 @@ class TestTcpServer:
 
             def worker(uid):
                 try:
-                    with RemoteClient(server.host, server.port) as client:
+                    with PipelinedClient(
+                        server.host, server.port, prefer_binary=False
+                    ) as client:
                         for item in range(10):
                             response = client.call(PredictApiRequest(uid=uid, item=item))
                             assert response.ok

@@ -8,8 +8,8 @@ import threading
 import pytest
 
 from repro.frontend import (
+    PipelinedClient,
     PredictApiRequest,
-    RemoteClient,
     TopKApiRequest,
     VeloxServer,
     decode_response,
@@ -35,7 +35,9 @@ class TestEngineOverTcp:
 
             def worker(uid: int) -> None:
                 try:
-                    with RemoteClient(server.host, server.port) as client:
+                    with PipelinedClient(
+                        server.host, server.port, prefer_binary=False
+                    ) as client:
                         for item in range(10):
                             response = client.call(
                                 PredictApiRequest(uid=uid, item=item)
@@ -64,7 +66,9 @@ class TestEngineOverTcp:
     def test_top_k_over_engine_socket(self, deployed_velox):
         engine = deployed_velox.serving_engine(ServingConfig(num_workers=1))
         with VeloxServer(deployed_velox, engine=engine) as server:
-            with RemoteClient(server.host, server.port) as client:
+            with PipelinedClient(
+                server.host, server.port, prefer_binary=False
+            ) as client:
                 response = client.call(TopKApiRequest(uid=2, items=(1, 2, 3), k=2))
                 assert response.ok
                 assert len(response.payload["items"]) == 2
@@ -76,7 +80,9 @@ class TestEngineOverTcp:
             ServingConfig(max_queue_depth=0)
         )
         with VeloxServer(deployed_velox, engine=engine) as server:
-            with RemoteClient(server.host, server.port) as client:
+            with PipelinedClient(
+                server.host, server.port, prefer_binary=False
+            ) as client:
                 response = client.call(PredictApiRequest(uid=1, item=2))
                 assert not response.ok
                 assert "OverloadedError" in response.error
@@ -91,7 +97,7 @@ class TestServerHardening:
         """A non-ReproError out of dispatch must produce an error
         envelope on the same connection, not kill it silently."""
         with VeloxServer(deployed_velox) as server:
-            client = server._server.velox_client
+            client = server.velox_client
             original = client.dispatch
 
             def explode(request):

@@ -7,6 +7,7 @@ import json
 import socket
 import socketserver
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from repro.frontend import (
     ObserveApiRequest,
     PipelinedClient,
     PredictApiRequest,
-    RemoteClient,
     RetrainApiRequest,
     StatusApiRequest,
     TopKApiRequest,
@@ -264,11 +264,12 @@ class TestNegotiation:
                 assert isinstance(response.payload["score"], float)
 
     def test_json_client_still_works_against_new_server(self, deployed_velox):
-        """Old JSON-lines clients round-trip against the binary-capable
-        server: the peek-based negotiation must leave their first
-        request intact."""
+        """JSON-lines clients round-trip against the binary-capable
+        server: negotiation must leave their first request intact."""
         with VeloxServer(deployed_velox) as server:
-            with RemoteClient(server.host, server.port) as client:
+            with PipelinedClient(
+                server.host, server.port, prefer_binary=False
+            ) as client:
                 response = client.call(PredictApiRequest(uid=2, item=8))
                 assert response.ok
                 response = client.call(TopKApiRequest(uid=2, items=(1, 2), k=1))
@@ -291,7 +292,9 @@ class TestNegotiation:
     def test_mixed_protocol_clients_share_a_server(self, deployed_velox):
         with VeloxServer(deployed_velox) as server:
             with (
-                RemoteClient(server.host, server.port) as old,
+                PipelinedClient(
+                    server.host, server.port, prefer_binary=False
+                ) as old,
                 PipelinedClient(server.host, server.port) as new,
             ):
                 a = old.call(PredictApiRequest(uid=2, item=8))
@@ -420,19 +423,23 @@ class TestPipelinedClient:
 
 class TestTransportErrors:
     def test_remote_client_times_out_with_typed_error(self):
-        """A server that accepts but never answers: ``call`` raises
-        TransportError within the timeout instead of blocking forever."""
+        """A server that accepts but never answers: the JSON-lines
+        client's ``call`` raises TransportError within the timeout
+        instead of blocking forever, and reclaims the window slot."""
         listener = socket.socket()
         listener.bind(("127.0.0.1", 0))
         listener.listen(1)
         host, port = listener.getsockname()
         try:
-            client = RemoteClient(host, port, timeout=0.3)
-            with pytest.raises(TransportError):
-                client.call(PredictApiRequest(uid=1, item=2))
-            # the failed client closed its socket and refuses reuse
-            with pytest.raises(TransportError):
-                client.call(PredictApiRequest(uid=1, item=2))
+            with PipelinedClient(
+                host, port, timeout=0.3, prefer_binary=False
+            ) as client:
+                start = time.monotonic()
+                with pytest.raises(TransportError):
+                    client.call(PredictApiRequest(uid=1, item=2))
+                assert time.monotonic() - start < 2.0
+                assert client.timed_out == 1
+                assert client.in_flight == 0
         finally:
             listener.close()
 
@@ -458,9 +465,14 @@ class TestTransportErrors:
         thread = threading.Thread(target=trickle, daemon=True)
         thread.start()
         try:
-            client = RemoteClient(host, port, timeout=0.4)
-            with pytest.raises(TransportError):
-                client.call(PredictApiRequest(uid=1, item=2))
+            with PipelinedClient(
+                host, port, timeout=0.4, prefer_binary=False
+            ) as client:
+                start = time.monotonic()
+                with pytest.raises(TransportError):
+                    client.call(PredictApiRequest(uid=1, item=2))
+                # the trickle lasts a full second; the deadline is 0.4s
+                assert time.monotonic() - start < 0.9
         finally:
             listener.close()
 
